@@ -32,6 +32,7 @@ use onepipe_controller::raft::{RaftConfig, RaftMsg};
 use onepipe_controller::replicated::ReplicatedController;
 use onepipe_controller::retry::RetryPolicy;
 use onepipe_netsim::engine::Sim;
+use onepipe_netsim::outbox::{Outbox, Pending};
 use onepipe_netsim::topology::{FatTreeParams, NodeRole, Topology};
 use onepipe_netsim::traffic::BackgroundTraffic;
 use onepipe_switchlogic::switch::{
@@ -205,11 +206,16 @@ pub struct Cluster {
     /// Process placement.
     pub procs: Arc<ProcessMap>,
     /// All deliveries across the cluster, in delivery order.
-    pub deliveries: Arc<Mutex<Vec<DeliveryRecord>>>,
+    pub deliveries: Outbox<DeliveryRecord>,
     /// All user events raised across the cluster.
-    pub user_events: Arc<Mutex<Vec<(u64, ProcessId, crate::events::UserEvent)>>>,
-    switch_events: Arc<Mutex<Vec<SwitchEvent>>>,
-    ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
+    pub user_events: Outbox<(u64, ProcessId, crate::events::UserEvent)>,
+    switch_events: Outbox<SwitchEvent>,
+    ctrl_outbox: Outbox<(u64, ProcessId, CtrlRequest)>,
+    /// Raised by switch detect reports and endpoint control requests;
+    /// lets `pump_control` skip its work with one atomic load.
+    ctrl_pending: Pending,
+    /// Raised by new deliveries and user events; gates `pump_chaos`.
+    sink_pending: Pending,
     /// Sorted-prefix watermarks for the shared sinks (sharded mode): the
     /// tail past each mark is canonicalized by `sort_sink_tails`.
     sink_marks: [usize; 4],
@@ -252,7 +258,11 @@ impl Cluster {
         let n_hosts = topo.num_hosts();
         let procs = Arc::new(ProcessMap::place_round_robin(n_hosts, cfg.processes));
 
-        let switch_events = Arc::new(Mutex::new(Vec::new()));
+        // Every queue that feeds the harness is an outbox on one of two
+        // signals, so the per-event pumps cost one atomic load when idle.
+        let ctrl_pending = Pending::new();
+        let sink_pending = Pending::new();
+        let switch_events = Outbox::new(&ctrl_pending);
         let shared = SwitchShared {
             topo: topo.clone(),
             procs: procs.clone(),
@@ -268,9 +278,9 @@ impl Cluster {
             ClockFleet::new(n_hosts, cfg.sync, cfg.seed ^ 0xC10C)
         };
 
-        let deliveries = Arc::new(Mutex::new(Vec::new()));
-        let ctrl_outbox = Arc::new(Mutex::new(Vec::new()));
-        let user_events = Arc::new(Mutex::new(Vec::new()));
+        let deliveries = Outbox::new(&sink_pending);
+        let ctrl_outbox = Outbox::new(&ctrl_pending);
+        let user_events = Outbox::new(&sink_pending);
         for h in 0..n_hosts {
             let host = HostId(h as u32);
             let endpoints: Vec<Endpoint> = procs
@@ -336,6 +346,8 @@ impl Cluster {
             user_events,
             switch_events,
             ctrl_outbox,
+            ctrl_pending,
+            sink_pending,
             replicas,
             next_ctrl_tick: 0,
             ctrl_tick_interval: mgmt_delay,
@@ -699,6 +711,12 @@ impl Cluster {
     /// the run continuously, not just at test end.
     fn pump_chaos(&mut self) {
         let Some(hook) = self.chaos.clone() else { return };
+        let now = self.sim.now();
+        if !self.sink_pending.is_raised() && now < self.chaos_next_sample {
+            return;
+        }
+        // Lowered before the copies below, so a later push re-raises it.
+        self.sink_pending.take();
         // Deliveries since the last pump (cloned out so the hook can't
         // observe a live borrow of the shared log).
         let new_d: Vec<DeliveryRecord> = {
@@ -723,7 +741,6 @@ impl Cluster {
                 h.on_user_event(*at, *p, ev);
             }
         }
-        let now = self.sim.now();
         if now >= self.chaos_next_sample {
             for hidx in 0..self.topo.num_hosts() {
                 let host = HostId(hidx as u32);
@@ -753,19 +770,17 @@ impl Cluster {
     fn pump_control(&mut self) {
         // Fast path: the harness pumps once per simulated event, so the
         // common case (no detect reports, no endpoint requests, and the
-        // next replica tick still in the future) must not pay for drains
-        // or controller work. Raft traffic itself rides the management
-        // heap and is handled in `apply_mgmt`, not here.
+        // next replica tick still in the future) must cost no more than
+        // one atomic load. Raft traffic itself rides the management heap
+        // and is handled in `apply_mgmt`, not here.
         let now = self.sim.now();
-        if now < self.next_ctrl_tick
-            && self.switch_events.lock().unwrap().is_empty()
-            && self.ctrl_outbox.lock().unwrap().is_empty()
-        {
+        if now < self.next_ctrl_tick && !self.ctrl_pending.is_raised() {
             return;
         }
         // Switch detect reports: one management hop to the controller
-        // cluster, then re-driven until a leader commits them.
-        let events: Vec<SwitchEvent> = self.switch_events.lock().unwrap().drain(..).collect();
+        // cluster, then re-driven until a leader commits them. Draining
+        // lowers `ctrl_pending`; both of its outboxes are drained here.
+        let events = self.switch_events.drain();
         self.sink_marks[2] = 0;
         for ev in events {
             let SwitchEvent::InLinkDead { switch, from, last_commit, at } = ev;
@@ -778,8 +793,7 @@ impl Cluster {
             );
         }
         // Endpoint control requests: same path.
-        let reqs: Vec<(u64, ProcessId, CtrlRequest)> =
-            self.ctrl_outbox.lock().unwrap().drain(..).collect();
+        let reqs = self.ctrl_outbox.drain();
         self.sink_marks[3] = 0;
         for (_raised_at, from, req) in reqs {
             let ev = match req {

@@ -29,6 +29,7 @@ use crate::endpoint::{Endpoint, HOP_LOCAL};
 use crate::events::{CtrlRequest, UserEvent};
 use bytes::Bytes;
 use onepipe_clock::MonotonicClock;
+use onepipe_netsim::outbox::Outbox;
 use onepipe_types::ids::{HostId, ProcessId};
 use onepipe_types::message::{Delivered, Message};
 use onepipe_types::time::{Duration, Timestamp};
@@ -178,25 +179,26 @@ pub struct HostRuntime {
     /// wait for the *last* host's beacon, adding ~a full interval).
     pub synchronized_beacons: bool,
     /// Shared record of all deliveries (for experiments and oracles).
-    pub deliveries: Arc<Mutex<Vec<DeliveryRecord>>>,
+    pub deliveries: Outbox<DeliveryRecord>,
     /// Controller requests raised by endpoints — `(true time raised,
     /// process, request)` — drained by the driver and routed over the
     /// management network.
-    pub ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
+    pub ctrl_outbox: Outbox<(u64, ProcessId, CtrlRequest)>,
     /// User events kept for driver/harness inspection (send failures etc.).
-    pub user_events: Arc<Mutex<Vec<(u64, ProcessId, UserEvent)>>>,
+    pub user_events: Outbox<(u64, ProcessId, UserEvent)>,
 }
 
 impl HostRuntime {
-    /// Create the runtime for `host`.
+    /// Create the runtime for `host`. The sinks are [`Outbox`]es, or
+    /// plain shared vectors that get a signal of their own.
     pub fn new(
         host: HostId,
         clock: MonotonicClock,
         endpoints: Vec<Endpoint>,
         beacon_interval: Duration,
-        deliveries: Arc<Mutex<Vec<DeliveryRecord>>>,
-        ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
-        user_events: Arc<Mutex<Vec<(u64, ProcessId, UserEvent)>>>,
+        deliveries: impl Into<Outbox<DeliveryRecord>>,
+        ctrl_outbox: impl Into<Outbox<(u64, ProcessId, CtrlRequest)>>,
+        user_events: impl Into<Outbox<(u64, ProcessId, UserEvent)>>,
     ) -> Self {
         let proc_ids = endpoints.iter().map(|e| e.id()).collect();
         HostRuntime {
@@ -207,9 +209,9 @@ impl HostRuntime {
             app: None,
             beacon_interval,
             synchronized_beacons: true,
-            deliveries,
-            ctrl_outbox,
-            user_events,
+            deliveries: deliveries.into(),
+            ctrl_outbox: ctrl_outbox.into(),
+            user_events: user_events.into(),
         }
     }
 
@@ -417,7 +419,7 @@ impl HostRuntime {
                 let receiver = self.endpoints[i].id();
                 while let Some(msg) = self.endpoints[i].recv_unreliable() {
                     any = true;
-                    self.deliveries.lock().unwrap().push(DeliveryRecord {
+                    self.deliveries.push(DeliveryRecord {
                         at: now,
                         receiver,
                         msg: msg.clone(),
@@ -429,7 +431,7 @@ impl HostRuntime {
                 }
                 while let Some(msg) = self.endpoints[i].recv_reliable() {
                     any = true;
-                    self.deliveries.lock().unwrap().push(DeliveryRecord {
+                    self.deliveries.push(DeliveryRecord {
                         at: now,
                         receiver,
                         msg: msg.clone(),
@@ -452,12 +454,12 @@ impl HostRuntime {
                             self.endpoints[i].complete_failure_callback(*announce_id);
                         }
                     }
-                    self.user_events.lock().unwrap().push((now, receiver, ev));
+                    self.user_events.push((now, receiver, ev));
                 }
                 // Controller requests.
                 while let Some(req) = self.endpoints[i].poll_ctrl() {
                     any = true;
-                    self.ctrl_outbox.lock().unwrap().push((now, receiver, req));
+                    self.ctrl_outbox.push((now, receiver, req));
                 }
             }
             // Application-queued sends.

@@ -11,12 +11,12 @@
 use crate::runtime::{HostRuntime, Wire};
 use onepipe_clock::MonotonicClock;
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
+use onepipe_netsim::outbox::Outbox;
 use onepipe_netsim::traffic::BackgroundTraffic;
 use onepipe_types::ids::{HostId, NodeId, ProcessId};
 use onepipe_types::message::Message;
 use onepipe_types::time::{Duration, Timestamp};
 use onepipe_types::wire::Datagram;
-use std::sync::{Arc, Mutex};
 
 use crate::events::{CtrlRequest, UserEvent};
 pub use crate::runtime::{AppHook, DeliveryRecord, SendQueue};
@@ -72,9 +72,9 @@ impl HostLogic {
         clock: MonotonicClock,
         endpoints: Vec<crate::endpoint::Endpoint>,
         beacon_interval: Duration,
-        deliveries: Arc<Mutex<Vec<DeliveryRecord>>>,
-        ctrl_outbox: Arc<Mutex<Vec<(u64, ProcessId, CtrlRequest)>>>,
-        user_events: Arc<Mutex<Vec<(u64, ProcessId, UserEvent)>>>,
+        deliveries: impl Into<Outbox<DeliveryRecord>>,
+        ctrl_outbox: impl Into<Outbox<(u64, ProcessId, CtrlRequest)>>,
+        user_events: impl Into<Outbox<(u64, ProcessId, UserEvent)>>,
     ) -> Self {
         HostLogic {
             tor,
@@ -199,6 +199,7 @@ mod tests {
     use onepipe_netsim::link::LinkParams;
     use onepipe_types::time::MICROS;
     use onepipe_types::wire::{Flags, Opcode, PacketHeader};
+    use std::sync::{Arc, Mutex};
 
     /// Records everything a "switch" node receives from the host.
     struct SwitchProbe {
@@ -232,9 +233,9 @@ mod tests {
             MonotonicClock::perfect(),
             endpoints,
             3 * MICROS,
-            Arc::new(Mutex::new(Vec::new())),
-            Arc::new(Mutex::new(Vec::new())),
-            Arc::new(Mutex::new(Vec::new())),
+            Outbox::default(),
+            Outbox::default(),
+            Outbox::default(),
         );
         sim.set_logic(host_node, Box::new(logic));
         (sim, host_node, log)

@@ -26,6 +26,7 @@
 
 pub mod engine;
 pub mod link;
+pub mod outbox;
 pub mod pcap;
 pub mod sched;
 pub mod shard;

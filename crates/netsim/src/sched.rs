@@ -18,6 +18,12 @@
 //! - an **occupancy bitmap** (one bit per slot, 1 KiB — L1-resident)
 //!   finds the next non-empty slot with word-wide scans, so sparse
 //!   stretches of simulated time cost ~ns, not a per-slot walk.
+//! - an **event slab**: buckets and the overflow tier hold only 24-byte
+//!   `(time, seq, index)` keys; the events themselves sit in one slab
+//!   whose vacated entries are reused through a free list. Cursor-bucket
+//!   inserts and lazy sorts therefore move keys, not events, and the
+//!   capacity each of the 8192 buckets keeps after a burst is sized in
+//!   keys — the engine's events carry a whole packet.
 //!
 //! **Determinism contract:** `pop` returns events in exactly ascending
 //! `(time, seq)` order, where `seq` is the queue's internal monotone
@@ -43,16 +49,24 @@ const WORDS: usize = NUM_SLOTS / 64;
 /// Sentinel for "no sorted bucket" / "no overflow".
 const NONE_SLOT: u64 = u64::MAX;
 
-struct Entry<T> {
+/// A bucket entry: the event's `(time, seq)` order key and the index of
+/// its item in the slab.
+#[derive(Clone, Copy)]
+struct Key {
     time: u64,
     seq: u64,
-    item: T,
+    idx: usize,
 }
 
 /// A calendar queue over items of type `T`, ordered by `(time, seq)` with
 /// `seq` assigned internally in push order (FIFO among equal times).
 pub struct CalendarQueue<T> {
-    buckets: Vec<Vec<Entry<T>>>,
+    buckets: Vec<Vec<Key>>,
+    /// The pending items, indexed by [`Key::idx`]; `None` marks a vacant
+    /// entry, listed in `free`.
+    slab: Vec<Option<T>>,
+    /// Vacant slab indices, reused last-in first-out.
+    free: Vec<usize>,
     /// Slot occupancy bitmap, one bit per bucket.
     occ: [u64; WORDS],
     /// Slot of the last popped event: the wheel window is
@@ -68,8 +82,9 @@ pub struct CalendarQueue<T> {
     head_slot: u64,
     /// Events currently in the wheel.
     wheel_len: usize,
-    /// Far-future events, beyond the wheel horizon, in `(time, seq)` order.
-    overflow: BTreeMap<(u64, u64), T>,
+    /// Far-future events, beyond the wheel horizon: `(time, seq)` →
+    /// slab index.
+    overflow: BTreeMap<(u64, u64), usize>,
     /// Slot of the earliest overflow event ([`NONE_SLOT`] when empty).
     next_overflow_slot: u64,
     /// Monotone push counter (the deterministic tie-break).
@@ -88,6 +103,8 @@ impl<T> CalendarQueue<T> {
     pub fn new() -> Self {
         CalendarQueue {
             buckets: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
+            slab: Vec::new(),
+            free: Vec::new(),
             occ: [0; WORDS],
             base_slot: 0,
             sorted_slot: NONE_SLOT,
@@ -126,20 +143,31 @@ impl<T> CalendarQueue<T> {
         self.seq += 1;
         let seq = self.seq;
         self.len += 1;
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slab[idx] = Some(item);
+                idx
+            }
+            None => {
+                self.slab.push(Some(item));
+                self.slab.len() - 1
+            }
+        };
         let slot = time >> SLOT_BITS;
         debug_assert!(slot >= self.base_slot, "event scheduled into the past");
         if slot >= self.base_slot + NUM_SLOTS as u64 {
-            self.overflow.insert((time, seq), item);
+            self.overflow.insert((time, seq), idx);
             self.next_overflow_slot = self.next_overflow_slot.min(slot);
             return;
         }
         let b = (slot & SLOT_MASK) as usize;
+        let key = Key { time, seq, idx };
         if slot == self.sorted_slot {
             // Keep the cursor bucket's descending (time, seq) order.
-            let pos = self.buckets[b].partition_point(|e| (e.time, e.seq) > (time, seq));
-            self.buckets[b].insert(pos, Entry { time, seq, item });
+            let pos = self.buckets[b].partition_point(|k| (k.time, k.seq) > (time, seq));
+            self.buckets[b].insert(pos, key);
         } else {
-            self.buckets[b].push(Entry { time, seq, item });
+            self.buckets[b].push(key);
         }
         self.set_occ(b);
         self.wheel_len += 1;
@@ -190,27 +218,27 @@ impl<T> CalendarQueue<T> {
             return;
         }
         let b = (slot & SLOT_MASK) as usize;
-        self.buckets[b].sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
+        self.buckets[b].sort_unstable_by_key(|k| std::cmp::Reverse((k.time, k.seq)));
         self.sorted_slot = slot;
     }
 
     /// Migrate overflow events whose slot is now within the wheel horizon.
     fn refill_from_overflow(&mut self) {
         while self.next_overflow_slot < self.base_slot + NUM_SLOTS as u64 {
-            let Some(((time, seq), item)) = self.overflow.pop_first() else {
+            let Some(((time, seq), idx)) = self.overflow.pop_first() else {
                 self.next_overflow_slot = NONE_SLOT;
                 return;
             };
             let slot = time >> SLOT_BITS;
             if slot >= self.base_slot + NUM_SLOTS as u64 {
                 // First key moved past the horizon (stale cache); restore.
-                self.overflow.insert((time, seq), item);
+                self.overflow.insert((time, seq), idx);
                 self.next_overflow_slot = slot;
                 return;
             }
             let b = (slot & SLOT_MASK) as usize;
             debug_assert_ne!(slot, self.sorted_slot, "overflow refill into the cursor bucket");
-            self.buckets[b].push(Entry { time, seq, item });
+            self.buckets[b].push(Key { time, seq, idx });
             self.set_occ(b);
             self.wheel_len += 1;
             if self.head_slot != NONE_SLOT && slot < self.head_slot {
@@ -231,7 +259,7 @@ impl<T> CalendarQueue<T> {
             Some(slot) => {
                 self.ensure_sorted(slot);
                 let b = (slot & SLOT_MASK) as usize;
-                self.buckets[b].last().map(|e| e.time)
+                self.buckets[b].last().map(|k| k.time)
             }
             // Wheel empty: the overflow tier holds the minimum.
             None => self.overflow.first_key_value().map(|((t, _), _)| *t),
@@ -256,7 +284,7 @@ impl<T> CalendarQueue<T> {
         let slot = self.first_occupied_slot().expect("len > 0 but wheel empty after refill");
         self.ensure_sorted(slot);
         let b = (slot & SLOT_MASK) as usize;
-        let e = self.buckets[b].pop().expect("occupancy bit set on empty bucket");
+        let k = self.buckets[b].pop().expect("occupancy bit set on empty bucket");
         if self.buckets[b].is_empty() {
             self.clear_occ(b);
             self.sorted_slot = NONE_SLOT;
@@ -268,7 +296,9 @@ impl<T> CalendarQueue<T> {
             self.base_slot = slot;
             self.refill_from_overflow();
         }
-        Some((e.time, e.seq, e.item))
+        let item = self.slab[k.idx].take().expect("bucket key points at a vacant slab entry");
+        self.free.push(k.idx);
+        Some((k.time, k.seq, item))
     }
 }
 

@@ -140,7 +140,10 @@ impl Samples {
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank; 0 for an empty set.
+    /// Panics on a `q` outside [0, 1], such as a percent (`50.0`), which
+    /// would otherwise silently report the maximum.
     pub fn percentile(&self, q: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&q), "percentile takes q in [0, 1], got {q}");
         if self.values.is_empty() {
             return 0.0;
         }
@@ -191,6 +194,14 @@ mod tests {
         assert_eq!(s.percentile(0.95), 96.0);
         assert_eq!(s.percentile(1.0), 100.0);
         assert_eq!(s.max(), 100.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile takes q in [0, 1]")]
+    fn percentile_rejects_a_percent() {
+        let mut s = Samples::new();
+        s.push(1.0);
+        s.percentile(50.0);
     }
 
     #[test]

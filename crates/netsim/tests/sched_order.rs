@@ -3,9 +3,16 @@
 //! exactly ascending `(time, seq)` order — byte-for-byte what the old
 //! `BinaryHeap<Reverse<Scheduled>>` produced. Every seeded experiment and
 //! chaos repro depends on this.
+//!
+//! The queue keeps its items in a slab reused through a free list, so
+//! the second half checks ownership: with items that count their drops,
+//! every pushed item is popped or dropped exactly once, whatever the
+//! interleaving, the overflow-tier refills and the queue's own drop.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use onepipe_netsim::sched::{CalendarQueue, NUM_SLOTS, SLOT_NS};
 use proptest::prelude::*;
@@ -78,4 +85,100 @@ proptest! {
         }
         prop_assert!(cal.is_empty());
     }
+}
+
+/// An item that records its own drop in a shared per-id counter.
+struct Tracked {
+    id: u64,
+    drops: Rc<RefCell<Vec<u32>>>,
+}
+
+impl Tracked {
+    fn new(drops: &Rc<RefCell<Vec<u32>>>) -> Self {
+        let mut d = drops.borrow_mut();
+        d.push(0);
+        Tracked { id: d.len() as u64 - 1, drops: drops.clone() }
+    }
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.drops.borrow_mut()[self.id as usize] += 1;
+    }
+}
+
+/// Every id dropped exactly once.
+fn all_dropped_once(drops: &Rc<RefCell<Vec<u32>>>) -> bool {
+    drops.borrow().iter().all(|&n| n == 1)
+}
+
+proptest! {
+    /// Push/pop interleavings at all three distances, then dropping the
+    /// queue with whatever is left: each item leaves exactly once, either
+    /// through `pop` (the right item for its key) or through the drop.
+    #[test]
+    fn every_item_popped_or_dropped_exactly_once(
+        ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..400),
+    ) {
+        let horizon = NUM_SLOTS as u64 * SLOT_NS;
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let mut cal: CalendarQueue<Tracked> = CalendarQueue::new();
+        let mut popped = 0usize;
+        let mut floor = 0u64;
+        for (kind, raw) in ops {
+            if kind % 4 != 3 {
+                let span = match kind % 3 {
+                    0 => SLOT_NS * 4,
+                    1 => horizon,
+                    _ => horizon * 4,
+                };
+                cal.push(floor + raw % span, Tracked::new(&drops));
+            } else if let Some((t, seq, item)) = cal.pop() {
+                // Ids count from 0 in push order; seqs from 1.
+                prop_assert_eq!(item.id + 1, seq);
+                prop_assert_eq!(drops.borrow()[item.id as usize], 0);
+                drop(item);
+                popped += 1;
+                floor = t;
+            }
+        }
+        let pushed = drops.borrow().len();
+        prop_assert_eq!(cal.len(), pushed - popped);
+        drop(cal);
+        prop_assert!(all_dropped_once(&drops));
+    }
+}
+
+/// Overflow-tier refills move keys, not items: after a jump to the
+/// overflow tier and refills as the wheel turns, the slab entries the
+/// popped items vacated are reused, and dropping the non-empty queue
+/// releases the rest — in the wheel and in the overflow tier — once each.
+#[test]
+fn overflow_refill_and_drop_release_each_item_once() {
+    let horizon = NUM_SLOTS as u64 * SLOT_NS;
+    let drops = Rc::new(RefCell::new(Vec::new()));
+    let mut cal: CalendarQueue<Tracked> = CalendarQueue::new();
+    for i in 0..64u64 {
+        // Half far beyond the horizon, interleaved with near events.
+        let t = if i % 2 == 0 { 3 * horizon + i * SLOT_NS } else { i };
+        cal.push(t, Tracked::new(&drops));
+    }
+    // Drain the near half, then jump into the overflow tier.
+    for _ in 0..40 {
+        let (_, seq, item) = cal.pop().unwrap();
+        assert_eq!(item.id + 1, seq);
+    }
+    // Reuse the vacated entries, some near the cursor, some far out.
+    let now = cal.peek_time().unwrap();
+    for i in 0..32u64 {
+        let t = if i % 2 == 0 { now + i } else { now + 2 * horizon + i };
+        cal.push(t, Tracked::new(&drops));
+    }
+    for _ in 0..10 {
+        cal.pop().unwrap();
+    }
+    assert_eq!(cal.len(), 64 + 32 - 50);
+    assert_eq!(drops.borrow().iter().filter(|&&n| n == 1).count(), 50);
+    drop(cal);
+    assert!(all_dropped_once(&drops));
 }

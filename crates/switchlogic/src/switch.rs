@@ -3,13 +3,14 @@
 use crate::barrier::BarrierAggregator;
 use bytes::Bytes;
 use onepipe_netsim::engine::{Ctx, NodeLogic, SimPacket};
+use onepipe_netsim::outbox::Outbox;
 use onepipe_netsim::topology::Topology;
 use onepipe_types::ids::{NodeId, ProcessId};
 use onepipe_types::process_map::ProcessMap;
 use onepipe_types::time::{Duration, Timestamp, MICROS};
 use onepipe_types::wire::{Datagram, Flags, Opcode, PacketHeader};
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Sentinel process id used on hop-by-hop packets (beacons) that have no
 /// process-level source or destination.
@@ -110,7 +111,7 @@ pub struct SwitchShared {
     /// Process → host placement (routing key).
     pub procs: Arc<ProcessMap>,
     /// Outbox of failure events, drained by the harness.
-    pub events: Arc<Mutex<Vec<SwitchEvent>>>,
+    pub events: Outbox<SwitchEvent>,
 }
 
 /// Per-switch traffic counters.
@@ -429,7 +430,7 @@ impl NodeLogic for SwitchLogic {
                 let now = ctx.now();
                 let timeout = self.cfg.beacon_interval * self.cfg.dead_after_intervals;
                 for (from, last_commit) in self.agg.detect_dead(now, timeout) {
-                    self.shared.events.lock().unwrap().push(SwitchEvent::InLinkDead {
+                    self.shared.events.push(SwitchEvent::InLinkDead {
                         switch: ctx.node(),
                         from,
                         last_commit,
@@ -485,6 +486,7 @@ mod tests {
     use onepipe_netsim::engine::Sim;
     use onepipe_netsim::topology::FatTreeParams;
     use onepipe_types::ids::HostId;
+    use std::sync::Mutex;
 
     /// A trivial host that records barriers seen in beacons, and can send
     /// one pre-armed data packet.
@@ -526,8 +528,7 @@ mod tests {
         let mut sim = Sim::new(99);
         let topo = Arc::new(Topology::build(&mut sim, FatTreeParams::single_rack(n)));
         let procs = Arc::new(ProcessMap::place_round_robin(n as usize, n as usize));
-        let shared =
-            SwitchShared { topo: topo.clone(), procs, events: Arc::new(Mutex::new(Vec::new())) };
+        let shared = SwitchShared { topo: topo.clone(), procs, events: Outbox::default() };
         for &s in &topo.switch_nodes {
             sim.set_logic(s, Box::new(SwitchLogic::new(shared.clone(), cfg)));
         }

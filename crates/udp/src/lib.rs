@@ -645,6 +645,8 @@ fn run_soft_switch(
     let mut tx = PacketTx::new(coalesce, max_frame, stats.clone());
     let mut next_beacon = 0u64;
     let mut last_dbg = 0u64;
+    // Read once: the lookup takes the environment lock.
+    let debug = std::env::var("ONEPIPE_UDP_DEBUG").is_ok();
     while !stop.load(Ordering::SeqCst) {
         // Drain the receive queue before the next beacon emission, bounded
         // by the beacon deadline: on a loaded single-core machine packets
@@ -755,7 +757,7 @@ fn run_soft_switch(
             }
             let be = agg.out_be(now);
             let commit = agg.out_commit(now);
-            if std::env::var("ONEPIPE_UDP_DEBUG").is_ok() && now > last_dbg + 500_000_000 {
+            if debug && now > last_dbg + 500_000_000 {
                 last_dbg = now;
                 let regs: Vec<_> =
                     (0..proc_addrs.len() as u32).map(|i| agg.register_be(NodeId(i))).collect();
@@ -1300,9 +1302,7 @@ fn run_process(
         // Route controller requests over the management plane: requests
         // that must reach the log go through the retrying client;
         // forwarding stays best-effort (data-path fallback, not state).
-        let reqs: Vec<(u64, ProcessId, CtrlRequest)> =
-            rt.ctrl_outbox.lock().unwrap().drain(..).collect();
-        for (_raised_at, from, req) in reqs {
+        for (_raised_at, from, req) in rt.ctrl_outbox.drain() {
             match req {
                 CtrlRequest::CallbackComplete { announce_id } => {
                     client.submit(CtrlEvent::CallbackComplete { announce_id, from }, now);
