@@ -214,6 +214,8 @@ pub fn run_with_schedule(cfg: &CampaignConfig, seed: u64, schedule: &FaultSchedu
             failed.push(p);
         }
     }
+    // The campaign never calls `take_deliveries`, so the cluster's log
+    // still holds every delivery of the run.
     let deliveries = c.deliveries.lock().unwrap().len();
     let delivery_log = render_delivery_log(&c.deliveries.lock().unwrap());
     let faults_injected = c.sim.stats.faults_injected();

@@ -205,7 +205,10 @@ pub struct Cluster {
     pub topo: Arc<Topology>,
     /// Process placement.
     pub procs: Arc<ProcessMap>,
-    /// All deliveries across the cluster, in delivery order.
+    /// Deliveries across the cluster not yet moved out by
+    /// [`take_deliveries`](Self::take_deliveries), in delivery order.
+    /// Only a driver that never takes (the chaos runner) sees the whole
+    /// run here; everyone else sees the tail since the last take.
     pub deliveries: Outbox<DeliveryRecord>,
     /// All user events raised across the cluster.
     pub user_events: Outbox<(u64, ProcessId, crate::events::UserEvent)>,
@@ -217,7 +220,8 @@ pub struct Cluster {
     /// Raised by new deliveries and user events; gates `pump_chaos`.
     sink_pending: Pending,
     /// Sorted-prefix watermarks for the shared sinks (sharded mode): the
-    /// tail past each mark is canonicalized by `sort_sink_tails`.
+    /// tail past each mark is canonicalized by `sort_sink_tails`. A mark
+    /// resets to 0 whenever its sink is emptied.
     sink_marks: [usize; 4],
     replicas: Vec<CtrlReplica>,
     /// Next time the controller replicas run their periodic tick (Raft
@@ -237,8 +241,8 @@ pub struct Cluster {
     mgmt_seq: u64,
     mgmt_delay: u64,
     mgmt_serialize: u64,
-    delivery_cursor: usize,
     chaos: Option<Rc<RefCell<dyn ChaosHook>>>,
+    /// Records of `deliveries` already fed to the chaos hook.
     chaos_delivery_cursor: usize,
     chaos_event_cursor: usize,
     chaos_sample_stride: u64,
@@ -359,7 +363,6 @@ impl Cluster {
             mgmt_seq: 0,
             mgmt_delay: cfg.mgmt_delay,
             mgmt_serialize: cfg.mgmt_serialize,
-            delivery_cursor: 0,
             sink_marks: [0; 4],
             chaos: None,
             chaos_delivery_cursor: 0,
@@ -540,13 +543,20 @@ impl Cluster {
         self.run_until(self.sim.now() + dt);
     }
 
-    /// Deliveries recorded since the last call.
+    /// Move out the deliveries recorded since the last call, in delivery
+    /// order. They leave [`deliveries`](Self::deliveries), so the log's
+    /// memory tracks the records not yet taken rather than the run
+    /// length. An attached chaos hook has seen every one of them first.
     pub fn take_deliveries(&mut self) -> Vec<DeliveryRecord> {
         self.sort_sink_tails();
-        let all = self.deliveries.lock().unwrap();
-        let out = all[self.delivery_cursor..].to_vec();
-        self.delivery_cursor = all.len();
-        drop(all);
+        self.pump_chaos();
+        let mut log = self.deliveries.lock().unwrap();
+        // The next batch is usually about this one's size.
+        let fresh = Vec::with_capacity(log.len());
+        let out = std::mem::replace(&mut *log, fresh);
+        drop(log);
+        self.sink_marks[0] = 0;
+        self.chaos_delivery_cursor = 0;
         out
     }
 

@@ -18,12 +18,17 @@
 //! - an **occupancy bitmap** (one bit per slot, 1 KiB — L1-resident)
 //!   finds the next non-empty slot with word-wide scans, so sparse
 //!   stretches of simulated time cost ~ns, not a per-slot walk.
-//! - an **event slab**: buckets and the overflow tier hold only 24-byte
-//!   `(time, seq, index)` keys; the events themselves sit in one slab
-//!   whose vacated entries are reused through a free list. Cursor-bucket
-//!   inserts and lazy sorts therefore move keys, not events, and the
-//!   capacity each of the 8192 buckets keeps after a burst is sized in
-//!   keys — the engine's events carry a whole packet.
+//! - an **event slab** with intrusive slot lists: the events sit in one
+//!   slab, each entry carrying its `(time, seq)` key and a `next` link.
+//!   A wheel slot is just the head index of a singly linked list through
+//!   the slab, and vacated entries are chained the same way into a free
+//!   list. The slot the cursor is on has its keys copied into one shared
+//!   cursor buffer, sorted once and reused for every slot; if a push then
+//!   lands in an earlier slot, the cursor's keys are handed back to their
+//!   slot's list before the cursor moves. Nothing therefore keeps a
+//!   slot's peak capacity: the queue's memory is the slab (peak pending
+//!   events), the 32 KiB of list heads, and one cursor buffer sized to
+//!   the busiest single slot.
 //!
 //! **Determinism contract:** `pop` returns events in exactly ascending
 //! `(time, seq)` order, where `seq` is the queue's internal monotone
@@ -34,6 +39,7 @@
 //!
 //! [Brown 1988]: https://dl.acm.org/doi/10.1145/63039.63045
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// log2 of the slot width in nanoseconds.
@@ -48,32 +54,49 @@ const SLOT_MASK: u64 = NUM_SLOTS as u64 - 1;
 const WORDS: usize = NUM_SLOTS / 64;
 /// Sentinel for "no sorted bucket" / "no overflow".
 const NONE_SLOT: u64 = u64::MAX;
+/// Sentinel slab index: the end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
-/// A bucket entry: the event's `(time, seq)` order key and the index of
-/// its item in the slab.
+/// A slab entry: one pending event with its order key, or a vacant entry.
+struct Entry<T> {
+    time: u64,
+    seq: u64,
+    /// Next entry in the same slot list (pending) or in the free list
+    /// (vacant), or [`NIL`].
+    next: u32,
+    /// `None` marks a vacant entry.
+    item: Option<T>,
+}
+
+/// A cursor-buffer entry: an event's `(time, seq)` order key and the
+/// index of its entry in the slab.
 #[derive(Clone, Copy)]
 struct Key {
     time: u64,
     seq: u64,
-    idx: usize,
+    idx: u32,
 }
 
 /// A calendar queue over items of type `T`, ordered by `(time, seq)` with
 /// `seq` assigned internally in push order (FIFO among equal times).
 pub struct CalendarQueue<T> {
-    buckets: Vec<Vec<Key>>,
-    /// The pending items, indexed by [`Key::idx`]; `None` marks a vacant
-    /// entry, listed in `free`.
-    slab: Vec<Option<T>>,
-    /// Vacant slab indices, reused last-in first-out.
-    free: Vec<usize>,
+    /// Per wheel slot, the first slab entry of its unsorted list, or
+    /// [`NIL`]. The sorted slot's keys live in `cursor` instead.
+    heads: Vec<u32>,
+    /// The keys of `sorted_slot`, sorted descending so the earliest is
+    /// last. One buffer, reused by every slot the cursor visits.
+    cursor: Vec<Key>,
+    /// The pending events, indexed by [`Key::idx`] and the slot lists.
+    slab: Vec<Entry<T>>,
+    /// First vacant slab entry, or [`NIL`]; reused last-in first-out.
+    free: u32,
     /// Slot occupancy bitmap, one bit per bucket.
     occ: [u64; WORDS],
     /// Slot of the last popped event: the wheel window is
     /// `[base_slot, base_slot + NUM_SLOTS)`. Never rewinds.
     base_slot: u64,
-    /// Absolute slot whose bucket is currently sorted (descending), or
-    /// [`NONE_SLOT`].
+    /// Absolute slot whose keys are in `cursor`, or [`NONE_SLOT`] (then
+    /// `cursor` is empty).
     sorted_slot: u64,
     /// Cached absolute slot of the first occupied wheel bucket, or
     /// [`NONE_SLOT`] when unknown. The harness peeks before every pop;
@@ -84,7 +107,7 @@ pub struct CalendarQueue<T> {
     wheel_len: usize,
     /// Far-future events, beyond the wheel horizon: `(time, seq)` →
     /// slab index.
-    overflow: BTreeMap<(u64, u64), usize>,
+    overflow: BTreeMap<(u64, u64), u32>,
     /// Slot of the earliest overflow event ([`NONE_SLOT`] when empty).
     next_overflow_slot: u64,
     /// Monotone push counter (the deterministic tie-break).
@@ -102,9 +125,10 @@ impl<T> CalendarQueue<T> {
     /// An empty queue anchored at time 0.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; NUM_SLOTS],
+            cursor: Vec::new(),
             slab: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
             occ: [0; WORDS],
             base_slot: 0,
             sorted_slot: NONE_SLOT,
@@ -137,22 +161,39 @@ impl<T> CalendarQueue<T> {
         self.occ[bucket / 64] &= !(1u64 << (bucket % 64));
     }
 
+    /// Store an event in a vacant slab entry (or a new one); returns its
+    /// index.
+    fn alloc(&mut self, time: u64, seq: u64, item: T) -> u32 {
+        let entry = Entry { time, seq, next: NIL, item: Some(item) };
+        if self.free != NIL {
+            let idx = self.free;
+            self.free = self.slab[idx as usize].next;
+            self.slab[idx as usize] = entry;
+            idx
+        } else {
+            let idx = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("calendar queue slab is full");
+            self.slab.push(entry);
+            idx
+        }
+    }
+
+    /// Prepend slab entry `idx` to the list of wheel bucket `b`.
+    #[inline]
+    fn link(&mut self, b: usize, idx: u32) {
+        self.slab[idx as usize].next = self.heads[b];
+        self.heads[b] = idx;
+    }
+
     /// Schedule `item` at absolute `time` (must be ≥ the last popped
     /// event's time — the engine never schedules into the past).
     pub fn push(&mut self, time: u64, item: T) {
         self.seq += 1;
         let seq = self.seq;
         self.len += 1;
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.slab[idx] = Some(item);
-                idx
-            }
-            None => {
-                self.slab.push(Some(item));
-                self.slab.len() - 1
-            }
-        };
+        let idx = self.alloc(time, seq, item);
         let slot = time >> SLOT_BITS;
         debug_assert!(slot >= self.base_slot, "event scheduled into the past");
         if slot >= self.base_slot + NUM_SLOTS as u64 {
@@ -161,13 +202,12 @@ impl<T> CalendarQueue<T> {
             return;
         }
         let b = (slot & SLOT_MASK) as usize;
-        let key = Key { time, seq, idx };
         if slot == self.sorted_slot {
-            // Keep the cursor bucket's descending (time, seq) order.
-            let pos = self.buckets[b].partition_point(|k| (k.time, k.seq) > (time, seq));
-            self.buckets[b].insert(pos, key);
+            // Keep the cursor's descending (time, seq) order.
+            let pos = self.cursor.partition_point(|k| (k.time, k.seq) > (time, seq));
+            self.cursor.insert(pos, Key { time, seq, idx });
         } else {
-            self.buckets[b].push(key);
+            self.link(b, idx);
         }
         self.set_occ(b);
         self.wheel_len += 1;
@@ -211,14 +251,29 @@ impl<T> CalendarQueue<T> {
         None
     }
 
-    /// Sort the bucket of `slot` (descending) if it is not already the
-    /// sorted cursor bucket.
+    /// Move the cursor to `slot`: its list's keys go into the cursor
+    /// buffer, sorted descending. A no-op if the cursor is already there.
     fn ensure_sorted(&mut self, slot: u64) {
         if self.sorted_slot == slot {
             return;
         }
+        if self.sorted_slot != NONE_SLOT {
+            // A push landed before the cursor's slot, which is still
+            // occupied: hand its keys back to that slot's list.
+            let b = (self.sorted_slot & SLOT_MASK) as usize;
+            for k in self.cursor.drain(..) {
+                self.slab[k.idx as usize].next = self.heads[b];
+                self.heads[b] = k.idx;
+            }
+        }
         let b = (slot & SLOT_MASK) as usize;
-        self.buckets[b].sort_unstable_by_key(|k| std::cmp::Reverse((k.time, k.seq)));
+        let mut i = std::mem::replace(&mut self.heads[b], NIL);
+        while i != NIL {
+            let e = &self.slab[i as usize];
+            self.cursor.push(Key { time: e.time, seq: e.seq, idx: i });
+            i = e.next;
+        }
+        self.cursor.sort_unstable_by_key(|k| Reverse((k.time, k.seq)));
         self.sorted_slot = slot;
     }
 
@@ -238,7 +293,7 @@ impl<T> CalendarQueue<T> {
             }
             let b = (slot & SLOT_MASK) as usize;
             debug_assert_ne!(slot, self.sorted_slot, "overflow refill into the cursor bucket");
-            self.buckets[b].push(Key { time, seq, idx });
+            self.link(b, idx);
             self.set_occ(b);
             self.wheel_len += 1;
             if self.head_slot != NONE_SLOT && slot < self.head_slot {
@@ -258,8 +313,7 @@ impl<T> CalendarQueue<T> {
         match self.first_occupied_slot() {
             Some(slot) => {
                 self.ensure_sorted(slot);
-                let b = (slot & SLOT_MASK) as usize;
-                self.buckets[b].last().map(|k| k.time)
+                self.cursor.last().map(|k| k.time)
             }
             // Wheel empty: the overflow tier holds the minimum.
             None => self.overflow.first_key_value().map(|((t, _), _)| *t),
@@ -283,10 +337,9 @@ impl<T> CalendarQueue<T> {
         }
         let slot = self.first_occupied_slot().expect("len > 0 but wheel empty after refill");
         self.ensure_sorted(slot);
-        let b = (slot & SLOT_MASK) as usize;
-        let k = self.buckets[b].pop().expect("occupancy bit set on empty bucket");
-        if self.buckets[b].is_empty() {
-            self.clear_occ(b);
+        let k = self.cursor.pop().expect("occupancy bit set on empty bucket");
+        if self.cursor.is_empty() {
+            self.clear_occ((slot & SLOT_MASK) as usize);
             self.sorted_slot = NONE_SLOT;
             self.head_slot = NONE_SLOT;
         }
@@ -296,8 +349,10 @@ impl<T> CalendarQueue<T> {
             self.base_slot = slot;
             self.refill_from_overflow();
         }
-        let item = self.slab[k.idx].take().expect("bucket key points at a vacant slab entry");
-        self.free.push(k.idx);
+        let e = &mut self.slab[k.idx as usize];
+        let item = e.item.take().expect("cursor key points at a vacant slab entry");
+        e.next = self.free;
+        self.free = k.idx;
         Some((k.time, k.seq, item))
     }
 }

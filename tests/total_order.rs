@@ -4,6 +4,7 @@
 
 use bytes::Bytes;
 use onepipe::service::harness::{Cluster, ClusterConfig};
+use onepipe::service::runtime::DeliveryRecord;
 use onepipe::switchlogic::switch::Incarnation;
 use onepipe::types::ids::ProcessId;
 use onepipe::types::message::{Message, OrderKey};
@@ -11,15 +12,15 @@ use onepipe::types::time::MICROS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Drive a random scattering workload and return per-receiver delivery
-/// sequences (order keys).
-fn random_workload(
+/// Drive a random scattering workload and return the delivery records it
+/// took from the cluster, with the number of successful sends.
+fn drive_random_workload(
     cluster: &mut Cluster,
     n: usize,
     rounds: usize,
     reliable_frac: f64,
     seed: u64,
-) -> (Vec<Vec<OrderKey>>, Vec<Vec<OrderKey>>, u64) {
+) -> (Vec<DeliveryRecord>, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     cluster.run_for(100 * MICROS);
     let mut sent = 0u64;
@@ -43,9 +44,22 @@ fn random_workload(
         cluster.run_for(5 * MICROS);
     }
     cluster.run_for(2_000 * MICROS);
+    (cluster.take_deliveries(), sent)
+}
+
+/// Drive a random scattering workload and return per-receiver delivery
+/// sequences (order keys).
+fn random_workload(
+    cluster: &mut Cluster,
+    n: usize,
+    rounds: usize,
+    reliable_frac: f64,
+    seed: u64,
+) -> (Vec<Vec<OrderKey>>, Vec<Vec<OrderKey>>, u64) {
+    let (deliveries, sent) = drive_random_workload(cluster, n, rounds, reliable_frac, seed);
     let mut be = vec![Vec::new(); n];
     let mut rel = vec![Vec::new(); n];
-    for d in cluster.take_deliveries() {
+    for d in deliveries {
         let k = d.msg.order_key();
         if d.reliable {
             rel[d.receiver.0 as usize].push(k);
@@ -190,8 +204,11 @@ fn causality_delivered_ts_below_receiver_clock() {
     let mut cfg = ClusterConfig::testbed(8);
     cfg.perfect_clocks = true;
     let mut c = Cluster::new(cfg);
-    let (_, _, _) = random_workload(&mut c, 8, 20, 0.5, 11);
-    for d in c.deliveries.lock().unwrap().iter() {
+    // Check the records the workload took: taking moves them out of
+    // `c.deliveries`, which is empty by now.
+    let (deliveries, _) = drive_random_workload(&mut c, 8, 20, 0.5, 11);
+    assert!(!deliveries.is_empty(), "workload delivered nothing, so nothing was checked");
+    for d in &deliveries {
         assert!(
             d.at >= d.msg.ts.raw(),
             "delivered before the message timestamp — causality violated"
